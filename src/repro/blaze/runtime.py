@@ -38,7 +38,7 @@ from ..errors import (
 )
 from ..fpga.faults import FaultPlan
 from ..hls.device import Device, VU9P
-from ..jvm.cost import CostModel
+from ..jvm.cost import OpCostTable
 from ..merlin.config import DesignConfig
 from ..obs.span import NULL_TRACER
 from ..spark.rdd import RDD, SparkContext
@@ -480,7 +480,7 @@ class _JVMTaskRunner:
     def __init__(self, compiled: CompiledKernel,
                  engine: Optional[str] = None):
         self.compiled = compiled
-        self.cost = CostModel()
+        self.cost = OpCostTable()
         self.interp = make_jvm_interpreter(
             compiled.registry, cost_model=self.cost, engine=engine)
         self.instance = compiled.instance

@@ -9,10 +9,9 @@ atomic, versioned, schema-validated JSON file per kernel digest.
 
 Guarantees:
 
-* **Atomicity** — a checkpoint is written to a temp file, fsynced,
-  ``os.replace``d over the previous one, and the directory entry is
-  fsynced; a crash at any instant leaves either the old or the new
-  checkpoint intact, never a torn file.
+* **Atomicity** — a checkpoint is written with
+  :func:`repro.durable.atomic_write_json`; a crash at any instant leaves
+  either the old or the new checkpoint intact, never a torn file.
 * **Batch-boundary semantics** — the engine snapshots only between
   batches, when the event heap is empty and no partition has an
   in-flight evaluation, so the saved state is exactly "the run up to
@@ -39,6 +38,7 @@ import random
 from pathlib import Path
 from typing import Optional
 
+from ..durable import atomic_write_json
 from ..errors import DSEError
 from ..hls.result import HLSResult
 from .bandit import AUCBandit, BanditTuner, _WindowEntry
@@ -413,24 +413,6 @@ def restore_evaluator_counters(evaluator: Evaluator, data: dict) -> None:
 # ----------------------------------------------------------------------
 # Atomic on-disk store
 # ----------------------------------------------------------------------
-
-def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` so a crash leaves either the old or new file."""
-    data = json.dumps(payload, separators=(",", ":")).encode()
-    tmp = path.with_name(path.name + ".tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
 
 class CheckpointStore:
     """One checkpoint file per kernel digest in a directory.

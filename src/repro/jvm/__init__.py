@@ -12,7 +12,7 @@ from .classfile import (  # noqa: F401
     JMethod,
 )
 from .codec import read_class, write_class  # noqa: F401
-from .cost import CostModel, group_of  # noqa: F401
+from .cost import OpCostTable, group_of  # noqa: F401
 from .descriptors import (  # noqa: F401
     MethodDescriptor,
     parse_method_descriptor,

@@ -88,7 +88,7 @@ def group_of(mnemonic: str) -> str:
 
 
 @dataclass
-class CostModel:
+class OpCostTable:
     """Accumulates executed-instruction counts and virtual nanoseconds."""
 
     costs_ns: dict[str, float] = field(

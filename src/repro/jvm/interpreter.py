@@ -17,7 +17,7 @@ from typing import Optional
 
 from ..errors import JVMRuntimeError
 from .classfile import ClassRegistry, Instr, JMethod
-from .cost import CostModel
+from .cost import OpCostTable
 from .descriptors import parse_method_descriptor, slot_width
 from .opcodes import ATYPE_NAMES
 
@@ -104,10 +104,10 @@ class Interpreter:
     """
 
     def __init__(self, registry: ClassRegistry,
-                 cost_model: Optional[CostModel] = None,
+                 cost_model: Optional[OpCostTable] = None,
                  max_steps: int = 200_000_000):
         self.registry = registry
-        self.cost = cost_model or CostModel()
+        self.cost = cost_model or OpCostTable()
         self.max_steps = max_steps
         self._steps = 0
 

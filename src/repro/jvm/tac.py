@@ -25,7 +25,7 @@ three-address IR and executes that with a tight dispatch loop:
   conversion/ALU helper for each op are captured in the op's closure.
 
 * **Block-granular cost accounting.**  The calibrated
-  :class:`~repro.jvm.cost.CostModel` charges are pre-aggregated per
+  :class:`~repro.jvm.cost.OpCostTable` charges are pre-aggregated per
   basic block at lower time and applied once per block execution.  The
   final ``counts`` / ``total_ns`` / ``instructions`` equal the stack
   engine's for any completed run (an instruction trap mid-block may
@@ -49,7 +49,7 @@ from typing import Callable, Optional
 
 from ..errors import BytecodeError, JVMRuntimeError
 from .classfile import ClassRegistry, Instr, JMethod
-from .cost import CostModel, DEFAULT_COSTS_NS, group_of
+from .cost import DEFAULT_COSTS_NS, OpCostTable, group_of
 from .descriptors import parse_method_descriptor, slot_width
 from .interpreter import (
     _CONVERSIONS,
@@ -828,10 +828,10 @@ class TACInterpreter:
     lowerings = 0
 
     def __init__(self, registry: ClassRegistry,
-                 cost_model: Optional[CostModel] = None,
+                 cost_model: Optional[OpCostTable] = None,
                  max_steps: int = 200_000_000):
         self.registry = registry
-        self.cost = cost_model or CostModel()
+        self.cost = cost_model or OpCostTable()
         self.max_steps = max_steps
         self._steps = 0
         self._tac_cache: dict[tuple, TACMethod] = {}

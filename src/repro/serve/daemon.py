@@ -27,13 +27,13 @@ an interrupted exploration: progress flushed, safe to restart).
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
 from typing import Optional
 
 from ..config import ServeConfig
+from ..durable import atomic_write_json
 from ..errors import ServeError
 from .core import ServeCore
 from .request import (
@@ -132,10 +132,7 @@ class ServeDaemon:
             return
         snapshot = self.core.state_snapshot()
         snapshot["drained"] = True
-        tmp = f"{self.state_path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-        os.replace(tmp, self.state_path)
+        atomic_write_json(self.state_path, snapshot)
 
     # ------------------------------------------------------------------
     # Executor (the single dispatch thread)

@@ -1,12 +1,11 @@
 """Atomic, versioned streaming checkpoints.
 
-One checkpoint file per stream name, written with the same
-write-fsync-replace-fsync discipline as the DSE journal
-(:func:`repro.dse.checkpoint.atomic_write_json`): a crash at any
-instant leaves either the previous or the new checkpoint, never a torn
-file.  The payload pins the run identity (app, seeds, batch geometry,
-fault schedule, engine) so a resume against a *different* configuration
-is rejected instead of silently diverging — the bit-identity guarantee
+One checkpoint file per stream name, written with
+:func:`repro.durable.atomic_write_json`: a crash at any instant leaves
+either the previous or the new checkpoint, never a torn file.  The
+payload pins the run identity (app, seeds, batch geometry, fault
+schedule, engine) so a resume against a *different* configuration is
+rejected instead of silently diverging — the bit-identity guarantee
 only holds when the replayed batches recompute the original stream.
 
 The context saves a checkpoint **after** the batch's sink rows are
@@ -21,7 +20,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from ..dse.checkpoint import atomic_write_json
+from ..durable import atomic_write_json
 from ..errors import StreamError
 
 #: Checkpoint format version; bumping it invalidates old checkpoints.

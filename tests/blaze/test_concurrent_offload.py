@@ -16,6 +16,7 @@ from repro.blaze import BlazeRuntime, OffloadPolicy
 from repro.blaze.manager import ACTIVE, LOST
 from repro.blaze.runtime import VirtualClock
 from repro.compiler import compile_kernel
+from repro.errors import BlazeError
 from repro.spark import SparkContext
 
 from .test_resilience import (
@@ -54,6 +55,15 @@ def _hammer(n_threads, fn):
 
 
 class TestVirtualClock:
+    def test_advance(self):
+        clock = VirtualClock()
+        assert clock.advance(5.0) == 5.0
+        assert clock.advance(2.5) == 7.5
+
+    def test_negative_rejected(self):
+        with pytest.raises(BlazeError):
+            VirtualClock().advance(-1.0)
+
     def test_concurrent_advance_loses_no_time(self):
         clock = VirtualClock()
         per_thread, advances = 200, 0.001

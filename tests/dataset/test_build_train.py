@@ -83,7 +83,8 @@ class TestBuild:
         cfg = _cfg(tmp_path)
         build_dataset(cfg)
         full, _ = read_records(cfg.out)
-        # Chop the file mid-way (plus a torn tail) and resume.
+        # Chop the file mid-way, leaving a corrupt *complete* line (a
+        # hand-edit, not a crash), and resume: the reader skips it.
         lines = (tmp_path / "ds.jsonl").read_text().splitlines()
         keep = len(lines) // 2
         (tmp_path / "ds.jsonl").write_text(
@@ -92,6 +93,24 @@ class TestBuild:
         assert report.skipped_existing == keep
         records, _ = read_records(cfg.out)
         assert {r.key() for r in records} == {r.key() for r in full}
+
+    def test_resume_repairs_an_unterminated_tail(self, tmp_path):
+        # A kill mid-write leaves the last record without its newline;
+        # resuming must drop the partial record and lose nothing else.
+        cfg = _cfg(tmp_path)
+        build_dataset(cfg)
+        full, _ = read_records(cfg.out)
+        path = tmp_path / "ds.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        keep = len(lines) // 2
+        path.write_bytes(b"".join(lines[:keep])
+                         + lines[keep][:len(lines[keep]) // 2])
+        report = build_dataset(cfg.replace(resume=True))
+        assert report.skipped_existing == keep
+        records, skipped = read_records(cfg.out, strict=True)
+        assert skipped == 0
+        assert sorted(r.key() for r in records) \
+            == sorted(r.key() for r in full)
 
 
 class TestRankMetrics:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.jvm.cost import DEFAULT_COSTS_NS, CostModel, group_of
+from repro.jvm.cost import DEFAULT_COSTS_NS, OpCostTable, group_of
 from repro.jvm.opcodes import BY_MNEMONIC
 
 
@@ -30,7 +30,7 @@ class TestGrouping:
 
 class TestAccumulation:
     def test_charge_and_reset(self):
-        model = CostModel()
+        model = OpCostTable()
         model.charge("iadd")
         model.charge("iadd")
         model.charge("fmul")
@@ -43,7 +43,7 @@ class TestAccumulation:
         assert model.total_ns == 0.0
 
     def test_math_surcharge(self):
-        model = CostModel()
+        model = OpCostTable()
         model.charge_math("exp")
         model.charge_math("sqrt")
         model.charge_math("min")
@@ -52,6 +52,6 @@ class TestAccumulation:
         assert model.counts["math_cheap"] == 1
 
     def test_total_seconds(self):
-        model = CostModel()
+        model = OpCostTable()
         model.total_ns = 2.5e9
         assert model.total_seconds == pytest.approx(2.5)

@@ -9,9 +9,9 @@ from repro.errors import JVMRuntimeError
 from repro.jvm import (
     ClassRegistry,
     CodeBuilder,
-    CostModel,
     Interpreter,
     JClass,
+    OpCostTable,
     assemble,
     make_tuple_class,
 )
@@ -19,7 +19,7 @@ from repro.jvm.interpreter import JArray
 
 
 def _run(builder: CodeBuilder, descriptor: str, args,
-         cost: CostModel | None = None):
+         cost: OpCostTable | None = None):
     method = assemble("f", descriptor, builder, is_static=True)
     jclass = JClass(name="T")
     jclass.methods.append(method)
@@ -251,7 +251,7 @@ class TestObjects:
 
 class TestCostModel:
     def test_counts_accumulate(self):
-        cost = CostModel()
+        cost = OpCostTable()
         b = CodeBuilder()
         b.emit("iconst_1")
         b.emit("iconst_2")
@@ -264,7 +264,7 @@ class TestCostModel:
         assert cost.total_ns > 0
 
     def test_math_charged_extra(self):
-        cost = CostModel()
+        cost = OpCostTable()
         b = CodeBuilder()
         b.emit("dconst_1")
         b.emit("invokestatic", "java/lang/Math", "exp", "(D)D")

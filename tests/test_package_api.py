@@ -36,8 +36,7 @@ def test_module_imports(name):
 def test_top_level_exports():
     import repro
 
-    assert callable(repro.build_accelerator)
-    assert callable(repro.generate_hls_c)
+    assert callable(repro.S2FASession)
     assert repro.__version__
 
 
