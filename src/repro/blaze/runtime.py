@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..compiler.driver import CompiledKernel
+from ..config import OffloadPolicy
 from ..engines import make_jvm_interpreter, resolve_engine
 from ..errors import (
     BlazeError,
@@ -72,22 +73,6 @@ class VirtualClock:
         with self._lock:
             self.now += seconds
             return self.now
-
-
-@dataclass(frozen=True)
-class OffloadPolicy:
-    """Knobs of the resilient offload path (virtual seconds)."""
-
-    #: Invocation attempts per batch before the board is quarantined.
-    max_attempts: int = 3
-    #: Host deadline per batch; a hung invocation is cut here.
-    batch_deadline_seconds: float = 0.05
-    #: Backoff before retry ``i`` is ``base * factor**(i-1)``.
-    backoff_base_seconds: float = 1e-4
-    backoff_factor: float = 2.0
-    #: Quarantine ``q`` lasts ``base * factor**q`` before a probe.
-    quarantine_base_seconds: float = 1e-2
-    quarantine_factor: float = 2.0
 
 
 @dataclass

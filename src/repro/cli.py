@@ -83,15 +83,31 @@ Subcommands
 
 Layout capacities for variable-length leaves are given as repeated
 ``--length path=N`` options, e.g. ``--length in._2=16 --length out=16``.
+
+Every flag that sets a field of a :mod:`repro.config` dataclass is
+derived from that field: its spelling, help text and default live in
+the field (see :func:`repro.config.flag`), and ``s2fa VERB --help``
+lists each one with its default.  Only the flags that set no config
+field (``--tasks``, ``--trace``, ``--json``, ...) are written out here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .compiler.interface import LayoutConfig
+from .config import (
+    DatasetConfig,
+    ExploreConfig,
+    RuntimeConfig,
+    ServeConfig,
+    StreamConfig,
+    int_pair,
+    name_list,
+)
 from .errors import ExplorationInterrupted, S2FAError, StreamInterrupted
 
 # ----------------------------------------------------------------------
@@ -117,99 +133,86 @@ EXIT_ERROR = 3
 EXIT_INTERRUPTED = 75
 
 
-def _parse_lengths(pairs: list[str]) -> LayoutConfig:
-    lengths: dict[str, int] = {}
-    string_length = 128
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise SystemExit(f"--length expects path=N, got {pair!r}")
-        path, _, value = pair.partition("=")
-        if path == "string":
-            string_length = int(value)
-        else:
-            lengths[path] = int(value)
+class _UsageError(Exception):
+    """A bad command line found after parsing (exits ``EXIT_USAGE``)."""
+
+
+def _parse_lengths(pairs) -> LayoutConfig:
+    lengths = dict(pairs or ())
+    string_length = lengths.pop("string", 128)
     return LayoutConfig(lengths=lengths,
                         default_string_length=string_length)
-
-
-def _parse_device_list(spec) -> tuple:
-    """``"a,b,c"`` -> ``("a", "b", "c")`` (names validated downstream
-    against the device registry, which raises the typed
-    :class:`~repro.errors.UnknownDeviceError` listing valid names)."""
-    if not spec:
-        return ()
-    return tuple(name.strip() for name in spec.split(",") if name.strip())
 
 
 def _read_source(path: str) -> str:
     source = Path(path)
     if not source.exists():
-        raise SystemExit(f"no such kernel file: {path}")
+        raise _UsageError(f"no such kernel file: {path}")
     return source.read_text()
 
 
+def _require_app(name: str, *, stream: bool = False):
+    from .apps import get_app, get_stream_app
+
+    try:
+        return (get_stream_app if stream else get_app)(name)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
 # ----------------------------------------------------------------------
-# argv -> config translation
+# argv <-> config: flags derived from the config dataclasses' fields
 # ----------------------------------------------------------------------
 
-def _explore_config(args: argparse.Namespace):
-    from .config import ExploreConfig
-
-    return ExploreConfig(
-        seed=getattr(args, "seed", 0),
-        time_limit_minutes=getattr(args, "time_limit", 240.0),
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=getattr(args, "cache_dir", None),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        resume=bool(getattr(args, "resume", False)),
-        surrogate=getattr(args, "surrogate", None),
-        prune_fraction=getattr(args, "prune_fraction", 0.5),
-        device=getattr(args, "device", None) or "xcvu9p")
-
-
-def _dataset_config(args: argparse.Namespace):
-    from .config import DatasetConfig
-
-    return DatasetConfig(
-        out=args.out,
-        seed=getattr(args, "seed", 0),
-        kernels=getattr(args, "kernels", 4),
-        configs=getattr(args, "configs", 64),
-        apps=not getattr(args, "no_apps", False),
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=getattr(args, "cache_dir", None),
-        resume=bool(getattr(args, "resume", False)))
+def _add_config_flags(parser, cls, *names: str) -> None:
+    """Add the flagged fields of config class ``cls`` (only ``names``,
+    when given) to ``parser``.  An unset flag leaves its field out of
+    the namespace, so :func:`_config` falls back to the field default."""
+    for f in dataclasses.fields(cls):
+        if "flag" not in f.metadata or (names and f.name not in names):
+            continue
+        spelling, help, kwargs = f.metadata["flag"]
+        default = f.default_factory() \
+            if f.default is dataclasses.MISSING else f.default
+        if isinstance(default, bool):
+            kwargs = {"action": "store_false" if default
+                      else "store_true", **kwargs}
+        else:
+            # Name the value after the option, as argparse would
+            # without our ``dest`` (``--records RECORDS``).
+            if "choices" not in kwargs:
+                kwargs = {"metavar": spelling[2:].replace("-", "_")
+                          .upper(), **kwargs}
+            if isinstance(default, (int, float, str)):
+                kwargs = {"type": type(default), **kwargs}
+                help = f"{help} (default: {default})"
+        parser.add_argument(spelling, dest=f.name,
+                            default=argparse.SUPPRESS, help=help, **kwargs)
 
 
-def _runtime_config(args: argparse.Namespace):
-    from .config import RuntimeConfig
-
-    return RuntimeConfig(
-        partitions=getattr(args, "partitions", 4),
-        fault_plan=getattr(args, "fault_plan", None),
-        fault_seed=getattr(args, "fault_seed", 0),
-        engine=getattr(args, "engine", None))
+def _config(cls, args: argparse.Namespace):
+    """``cls`` built from the flags set in ``args``; nested configs
+    (``runtime``) are built from the same namespace."""
+    given = vars(args)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if "flag" in f.metadata and f.name in given:
+            values[f.name] = given[f.name]
+        elif dataclasses.is_dataclass(f.default_factory):
+            values[f.name] = _config(f.default_factory, args)
+    return cls(**values)
 
 
 def _session(args: argparse.Namespace):
     from .s2fa import S2FASession
 
-    return S2FASession(explore=_explore_config(args),
-                       runtime=_runtime_config(args),
-                       trace=bool(getattr(args, "trace", None)))
-
-
-def _require_app(name: str):
-    from .apps import get_app
-
-    try:
-        return get_app(name)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
+    return S2FASession(explore=_config(ExploreConfig, args),
+                       runtime=_config(RuntimeConfig, args),
+                       trace=bool(args.trace))
 
 
 def _export_trace(session, args: argparse.Namespace) -> None:
-    if getattr(args, "trace", None):
+    if args.trace:
         spans = session.export_trace(args.trace)
         print(f"trace written to {args.trace} ({spans} spans)")
 
@@ -220,8 +223,10 @@ def _export_trace(session, args: argparse.Namespace) -> None:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     """``s2fa compile``: Scala kernel file -> generated HLS C."""
+    from .s2fa import S2FASession
+
     source = _read_source(args.kernel)
-    print(_session(args).hls_c(
+    print(S2FASession().hls_c(
         source,
         layout_config=_parse_lengths(args.length),
         pattern=args.pattern,
@@ -310,11 +315,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
     spec = _require_app(args.app)
     session = _session(args)
     device = None
-    devices = _parse_device_list(getattr(args, "devices", None))
-    if devices:
-        sweep = session.explore_devices(
-            spec, list(devices),
-            qor_target=getattr(args, "qor_target", None))
+    if args.devices:
+        sweep = session.explore_devices(spec, list(args.devices),
+                                        qor_target=args.qor_target)
         _print_device_sweep(sweep)
         build = sweep.best          # DSEError when nothing qualified
         device = build.device
@@ -351,13 +354,9 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """``s2fa report``: HLS report of a built-in app's manual design."""
-    from .apps import get_app
     from .hls import estimate
 
-    try:
-        spec = get_app(args.app)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = _require_app(args.app)
     compiled = spec.compile()
     result = estimate(compiled.kernel, spec.manual_config(compiled))
     print(f"{spec.name} ({spec.kind}), expert manual design:")
@@ -398,6 +397,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """``s2fa fuzz``: differential + metamorphic compiler fuzzing."""
+    if args.replay_only and not args.corpus:
+        raise _UsageError("--replay-only requires --corpus DIR")
     from .fuzz import FuzzConfig, load_regressions, replay_entry, \
         run_campaign
 
@@ -414,8 +415,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if entries:
             print(f"corpus : {len(entries)} entries replayed")
     if args.replay_only:
-        if not args.corpus:
-            raise SystemExit("--replay-only requires --corpus DIR")
         return EXIT_FAILURE if failed else EXIT_OK
 
     config = FuzzConfig(
@@ -446,32 +445,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_FAILURE if (failed or report.failures) else EXIT_OK
 
 
-def _stream_config(args: argparse.Namespace):
-    from .config import StreamConfig
-
-    return StreamConfig(
-        batch_records=args.batch_records,
-        interval_seconds=args.interval,
-        total_records=args.records,
-        max_batches=args.batches,
-        data_seed=args.data_seed,
-        max_lag_intervals=args.max_lag,
-        sink=args.sink,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        resume=bool(getattr(args, "resume", False)),
-        runtime=_runtime_config(args))
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
     """``s2fa stream``: run a streaming pipeline to completion."""
-    from .apps import get_stream_app
-
-    try:
-        spec = get_stream_app(args.app)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = _require_app(args.app, stream=True)
     session = _session(args)
-    outcome = session.stream(spec, _stream_config(args))
+    outcome = session.stream(spec, _config(StreamConfig, args))
     latencies = sorted(outcome.batch_latencies)
 
     def pct(p: float) -> float:
@@ -506,32 +484,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _serve_config(args: argparse.Namespace):
-    from .config import ServeConfig
-
-    weights = {}
-    for pair in getattr(args, "tenant_weight", None) or []:
-        if "=" not in pair:
-            raise SystemExit(f"--tenant-weight expects TENANT=W, "
-                             f"got {pair!r}")
-        tenant, _, weight = pair.partition("=")
-        weights[tenant] = int(weight)
-    return ServeConfig(
-        queue_depth=args.queue_depth,
-        tenant_weights=weights,
-        replicas=args.replicas,
-        default_deadline_s=args.default_deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
-        device=getattr(args, "device", None) or "xcvu9p",
-        fleet_devices=_parse_device_list(
-            getattr(args, "fleet_devices", None)),
-        runtime=_runtime_config(args))
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``s2fa serve``: the multi-tenant daemon (or its load harness)."""
-    config = _serve_config(args)
+    config = _config(ServeConfig, args)
     if args.simulate:
         from .serve.loadgen import LoadProfile, run_profile
 
@@ -547,7 +502,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         broken = report.lost or report.duplicates or report.mismatches
         return EXIT_FAILURE if broken else EXIT_OK
     if not args.socket:
-        raise SystemExit("serve needs --socket PATH (or --simulate)")
+        raise _UsageError("serve needs --socket PATH (or --simulate)")
     from .serve.daemon import run_daemon
 
     print(f"s2fa serve: listening on {args.socket} "
@@ -569,7 +524,7 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     """``s2fa dataset build``: sweep kernels x configs into JSONL."""
     from .dataset import build_dataset
 
-    report = build_dataset(_dataset_config(args))
+    report = build_dataset(_config(DatasetConfig, args))
     print(f"dataset           : {report.path}")
     print(f"records written   : {report.records} "
           f"({report.infeasible} infeasible, "
@@ -637,11 +592,11 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     from .obs import load_trace, summarize
 
     if not Path(args.file).exists():
-        raise SystemExit(f"no such trace file: {args.file}")
+        raise _UsageError(f"no such trace file: {args.file}")
     try:
         roots = load_trace(args.file)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+        raise _UsageError(str(exc)) from None
     print(summarize(roots, top=args.top, flame=not args.no_flame))
     return 0
 
@@ -650,24 +605,28 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("tac", "stack"),
-                        default=None,
-                        help="functional execution engine: 'tac' = "
-                             "flattened register-IR engines (default), "
-                             "'stack' = the original stack/tree "
-                             "interpreters (the differential oracles); "
-                             "also settable via $S2FA_ENGINE")
+def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("kernel")
+    parser.add_argument("--length", action="append", type=int_pair,
+                        metavar="PATH=N",
+                        help="capacity of a variable-length layout leaf "
+                             "('string=N' sets the string default; "
+                             "repeatable)")
+    parser.add_argument("--pattern", default="map",
+                        choices=("map", "reduce", "filter"))
+    parser.add_argument("--batch-size", type=int, default=1024)
 
 
-def _add_device_flag(parser: argparse.ArgumentParser) -> None:
-    from .hls.device import device_names
+def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tasks", type=int, default=64,
+                        help="workload size (default 64)")
+    parser.add_argument("--data-seed", type=int, default=21,
+                        help="workload generator seed (default 21)")
 
-    parser.add_argument("--device", metavar="NAME",
-                        help="target device model (registered: "
-                             + ", ".join(device_names())
-                             + "; default xcvu9p); an unknown name "
-                             "fails with the registered list")
+
+def _add_metrics_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metrics", action="store_true",
+                        help="print the Blaze runtime metrics table")
 
 
 def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
@@ -675,33 +634,6 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
                         help="record a span trace of the whole run "
                              "(Chrome trace_event JSON; *.jsonl for the "
                              "span log)")
-
-
-def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--checkpoint-dir", metavar="DIR",
-                        help="crash-safe exploration: journal the "
-                             "explorer state here at every batch "
-                             "boundary (SIGINT/SIGTERM then exit "
-                             f"{EXIT_INTERRUPTED} with a resumable "
-                             "checkpoint); implies --cache-dir DIR "
-                             "unless one is given")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the checkpoint in "
-                             "--checkpoint-dir if one exists (starts "
-                             "fresh otherwise)")
-
-
-def _add_surrogate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surrogate", metavar="MODEL.json",
-                        help="learned cost-model artifact (from 's2fa "
-                             "dataset train'); the engine prunes each "
-                             "proposal batch by its predictions, but "
-                             "every reported design is still "
-                             "analytically scored")
-    parser.add_argument("--prune-fraction", type=float, default=0.5,
-                        help="fraction of each unseen batch the "
-                             "surrogate may prune, in [0, 1) "
-                             "(default 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -714,33 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_p = sub.add_parser("compile",
                                help="Scala kernel -> HLS C")
-    compile_p.add_argument("kernel")
-    compile_p.add_argument("--length", action="append", metavar="PATH=N")
-    compile_p.add_argument("--pattern", default="map",
-                           choices=("map", "reduce", "filter"))
-    compile_p.add_argument("--batch-size", type=int, default=1024)
+    _add_kernel_args(compile_p)
     compile_p.set_defaults(func=cmd_compile)
 
     explore_p = sub.add_parser("explore",
                                help="compile + design space exploration")
-    explore_p.add_argument("kernel")
-    explore_p.add_argument("--length", action="append", metavar="PATH=N")
-    explore_p.add_argument("--pattern", default="map",
-                           choices=("map", "reduce", "filter"))
-    explore_p.add_argument("--batch-size", type=int, default=1024)
-    explore_p.add_argument("--seed", type=int, default=0)
-    explore_p.add_argument("--time-limit", type=float, default=240.0,
-                           help="virtual minutes (default 240)")
-    explore_p.add_argument("--jobs", type=int, default=1,
-                           help="process-pool width for HLS estimation "
-                                "(results are identical at any value; "
-                                "default 1)")
-    explore_p.add_argument("--cache-dir", metavar="DIR",
-                           help="persistent evaluation cache directory "
-                                "(repeated runs skip re-estimation)")
-    _add_device_flag(explore_p)
-    _add_checkpoint_flags(explore_p)
-    _add_surrogate_flags(explore_p)
+    _add_kernel_args(explore_p)
+    _add_config_flags(explore_p, ExploreConfig)
     explore_p.add_argument("--emit-c", action="store_true",
                            help="print the annotated HLS C")
     explore_p.add_argument("--json", metavar="FILE",
@@ -753,15 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
         "dse", help="end-to-end pipeline: explore a built-in app and "
                     "deploy the explored design on Blaze")
     dse_p.add_argument("app")
-    dse_p.add_argument("--seed", type=int, default=0)
-    dse_p.add_argument("--time-limit", type=float, default=240.0,
-                       help="virtual minutes (default 240)")
-    dse_p.add_argument("--jobs", type=int, default=1,
-                       help="process-pool width for HLS estimation")
-    dse_p.add_argument("--cache-dir", metavar="DIR",
-                       help="persistent evaluation cache directory")
-    _add_device_flag(dse_p)
-    dse_p.add_argument("--devices", metavar="A,B,C",
+    _add_config_flags(dse_p, ExploreConfig)
+    dse_p.add_argument("--devices", type=name_list, metavar="A,B,C",
                        help="comma-separated registered device names: "
                             "explore (device x config) and deploy on "
                             "the cheapest board meeting --qor-target")
@@ -770,17 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="QoR bar for --devices: best design must "
                             "reach this normalized cycle count or "
                             "better (default: any feasible design)")
-    _add_checkpoint_flags(dse_p)
-    _add_surrogate_flags(dse_p)
-    dse_p.add_argument("--tasks", type=int, default=64,
-                       help="deployment workload size (default 64)")
-    dse_p.add_argument("--data-seed", type=int, default=21,
-                       help="workload generator seed (default 21)")
-    dse_p.add_argument("--partitions", type=int, default=4,
-                       help="Spark partitions (default 4)")
-    dse_p.add_argument("--metrics", action="store_true",
-                       help="print the Blaze runtime metrics table")
-    _add_engine_flag(dse_p)
+    _add_workload_flags(dse_p)
+    _add_config_flags(dse_p, RuntimeConfig, "partitions", "engine")
+    _add_metrics_flag(dse_p)
     _add_trace_flag(dse_p)
     dse_p.set_defaults(func=cmd_dse)
 
@@ -795,20 +692,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run", help="deploy a built-in app on the Blaze runtime")
     run_p.add_argument("app")
-    run_p.add_argument("--tasks", type=int, default=64,
-                       help="workload size (default 64)")
-    run_p.add_argument("--data-seed", type=int, default=21,
-                       help="workload generator seed (default 21)")
-    run_p.add_argument("--partitions", type=int, default=4,
-                       help="Spark partitions (default 4)")
-    run_p.add_argument("--fault-plan", metavar="SPEC",
-                       help="device fault schedule, e.g. "
-                            "'transient=0.2,hang=0.05,corrupt=0.1,"
-                            "lose_after=40'")
-    run_p.add_argument("--fault-seed", type=int, default=0,
-                       help="seed of the fault schedule (default 0)")
-    _add_device_flag(run_p)
-    _add_engine_flag(run_p)
+    _add_workload_flags(run_p)
+    _add_config_flags(run_p, RuntimeConfig)
+    _add_config_flags(run_p, ExploreConfig, "device")
     _add_trace_flag(run_p)
     run_p.set_defaults(func=cmd_run)
 
@@ -818,46 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream_p.add_argument("app",
                           help="streaming app: lr-stream, aes-window, "
                                "or log-filter")
-    stream_p.add_argument("--batch-records", type=int, default=32,
-                          help="source records per micro-batch "
-                               "(default 32)")
-    stream_p.add_argument("--interval", type=float, default=0.05,
-                          metavar="SECONDS",
-                          help="micro-batch interval, virtual seconds "
-                               "(default 0.05)")
-    stream_p.add_argument("--records", type=int, default=256,
-                          help="bounded source size (default 256)")
-    stream_p.add_argument("--batches", type=int, default=None,
-                          help="hard cap on micro-batches (default: "
-                               "until the source is exhausted)")
-    stream_p.add_argument("--data-seed", type=int, default=21,
-                          help="record generator seed (default 21)")
-    stream_p.add_argument("--max-lag", type=float, default=2.0,
-                          metavar="INTERVALS",
-                          help="LAGGING threshold in batch intervals "
-                               "(default 2.0)")
-    stream_p.add_argument("--sink", metavar="FILE",
-                          help="append sink rows to this JSONL file "
-                               "(default: in-memory)")
-    stream_p.add_argument("--partitions", type=int, default=4,
-                          help="Spark partitions (default 4)")
-    stream_p.add_argument("--fault-plan", metavar="SPEC",
-                          help="device fault schedule, e.g. "
-                               "'transient=0.2,hang=0.05,lose_after=40'")
-    stream_p.add_argument("--fault-seed", type=int, default=0,
-                          help="seed of the fault schedule (default 0)")
-    stream_p.add_argument("--checkpoint-dir", metavar="DIR",
-                          help="crash-safe exactly-once streaming: "
-                               "checkpoint source offsets + operator "
-                               "state here after every micro-batch "
-                               "(SIGINT/SIGTERM then exit "
-                               f"{EXIT_INTERRUPTED} resumable)")
-    stream_p.add_argument("--resume", action="store_true",
-                          help="resume from the checkpoint in "
-                               "--checkpoint-dir if one exists")
-    stream_p.add_argument("--metrics", action="store_true",
-                          help="print the Blaze runtime metrics table")
-    _add_engine_flag(stream_p)
+    _add_config_flags(stream_p, StreamConfig)
+    _add_config_flags(stream_p, RuntimeConfig)
+    _add_metrics_flag(stream_p)
     _add_trace_flag(stream_p)
     stream_p.set_defaults(func=cmd_stream)
 
@@ -895,37 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--ready", metavar="FILE",
                          help="touch FILE (with the daemon pid) once "
                               "the socket is listening")
-    serve_p.add_argument("--queue-depth", type=int, default=64,
-                         help="bounded per-tenant queue depth; a full "
-                              "queue sheds OVERLOADED (default 64)")
-    serve_p.add_argument("--tenant-weight", action="append",
-                         metavar="TENANT=W",
-                         help="weighted-round-robin weight for a tenant "
-                              "(repeatable; others get weight 1)")
-    serve_p.add_argument("--replicas", type=int, default=2,
-                         help="virtual boards per kernel (default 2)")
-    serve_p.add_argument("--default-deadline", type=float, default=None,
-                         metavar="SECONDS",
-                         help="default per-request deadline in virtual "
-                              "seconds (default: unbounded)")
-    serve_p.add_argument("--breaker-threshold", type=int, default=3,
-                         help="consecutive hardware failures before a "
-                              "kernel's circuit opens (default 3)")
-    serve_p.add_argument("--breaker-reset", type=float, default=0.5,
-                         help="circuit cooldown in virtual seconds "
-                              "before a half-open probe (default 0.5)")
-    serve_p.add_argument("--fault-plan", metavar="SPEC",
-                         help="device fault schedule for every board, "
-                              "e.g. 'transient=0.2,lose_after=40'")
-    serve_p.add_argument("--fault-seed", type=int, default=0,
-                         help="seed of the fault schedule (default 0)")
-    _add_device_flag(serve_p)
-    serve_p.add_argument("--fleet-devices", metavar="A,B,C",
-                         help="heterogeneous board fleet: comma-separated "
-                              "registered device names assigned to "
-                              "replicas round-robin (placement/timing "
-                              "only; results stay bit-identical)")
-    _add_engine_flag(serve_p)
+    _add_config_flags(serve_p, ServeConfig)
+    _add_config_flags(serve_p, RuntimeConfig,
+                      "fault_plan", "fault_seed", "engine")
     sim = serve_p.add_argument_group(
         "load simulation (--simulate: no daemon, no socket; replay a "
         "deterministic multi-tenant trace on the virtual clock)")
@@ -963,29 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     ds_build = dataset_sub.add_parser(
         "build", help="sweep kernels x sampled configs through the "
                       "analytical estimator into a JSONL dataset")
-    ds_build.add_argument("--out", default="dataset.jsonl",
-                          metavar="FILE",
-                          help="output JSONL path "
-                               "(default dataset.jsonl)")
-    ds_build.add_argument("--seed", type=int, default=0,
-                          help="sweep seed: kernels and sampled "
-                               "configs are a pure function of it "
-                               "(default 0)")
-    ds_build.add_argument("--kernels", type=int, default=4,
-                          help="fuzz-generated kernels on top of the "
-                               "app suite (default 4)")
-    ds_build.add_argument("--configs", type=int, default=64,
-                          help="sampled design configs per kernel "
-                               "(default 64)")
-    ds_build.add_argument("--no-apps", action="store_true",
-                          help="skip the built-in application suite")
-    ds_build.add_argument("--jobs", type=int, default=1,
-                          help="process-pool width for HLS estimation")
-    ds_build.add_argument("--cache-dir", metavar="DIR",
-                          help="persistent evaluation cache directory")
-    ds_build.add_argument("--resume", action="store_true",
-                          help="keep records already in --out and "
-                               "continue after them")
+    _add_config_flags(ds_build, DatasetConfig)
     ds_build.set_defaults(func=cmd_dataset_build)
 
     ds_train = dataset_sub.add_parser(
@@ -1043,6 +842,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except (ExplorationInterrupted, StreamInterrupted) as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -1,24 +1,28 @@
 """Frozen run-configuration dataclasses for the S2FA facade and CLI.
 
-Before the :class:`~repro.s2fa.S2FASession` redesign, every entry point
-grew its own ad-hoc keyword arguments (``jobs``, ``cache_dir``,
-``fault_plan``, ``fault_seed``, deadline/backoff knobs, ...).  These two
-immutable dataclasses are now the single home for those knobs:
+These immutable dataclasses are the single home of every run knob:
 
-* :class:`ExploreConfig` — everything the compile + DSE half of the
-  pipeline needs (seed, virtual time limit, tuner workers, process-pool
-  width, persistent cache directory);
-* :class:`RuntimeConfig` — everything the Spark + Blaze half needs
-  (partitions, fault schedule, offload deadlines/backoff/quarantine).
+* :class:`ExploreConfig` — the compile + DSE half of the pipeline (seed,
+  virtual time limit, tuner workers, process-pool width, caches,
+  checkpoints, surrogate pruning, target device);
+* :class:`RuntimeConfig` — the Spark + Blaze half (partitions, fault
+  schedule, engine), with the offload deadlines/backoff/quarantine in
+  one :class:`OffloadPolicy`;
+* :class:`StreamConfig`, :class:`ServeConfig` and
+  :class:`DatasetConfig` — the ``stream``, ``serve`` and
+  ``dataset build`` verbs.
 
-The CLI is a pure argv -> config translation onto these types, and the
-facade consumes them directly; both validate eagerly in
-``__post_init__`` so a bad knob fails at construction, not mid-run.
+A field that the ``s2fa`` CLI exposes carries its option spelling and
+its one help string as field metadata (see :func:`flag`); the CLI
+derives its flags, their defaults and their help from these fields.
+The facade consumes the configs directly; all of them validate eagerly
+in ``__post_init__`` so a bad knob fails at construction, not mid-run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from argparse import ArgumentTypeError
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -31,6 +35,56 @@ from .errors import (
 )
 
 
+def flag(spelling: str, help: str, **argparse_kwargs) -> dict:
+    """Field metadata exposing a config field as the CLI option
+    ``spelling``; ``help`` documents the field (the CLI appends the
+    default).  Extra keywords go to ``ArgumentParser.add_argument``;
+    the CLI infers ``type`` from an int/float default and makes a bool
+    field a switch that flips its default."""
+    return {"flag": (spelling, help, argparse_kwargs)}
+
+
+def name_list(text: str) -> tuple:
+    """``"a,b,c"`` -> ``("a", "b", "c")``; blank names are dropped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def int_pair(text: str) -> tuple:
+    """``"KEY=N"`` -> ``("KEY", N)`` (a bad form is a usage error)."""
+    key, sep, value = text.partition("=")
+    try:
+        if key and sep:
+            return key, int(value)
+    except ValueError:
+        pass
+    raise ArgumentTypeError(
+        f"expected KEY=N with an integer N, got {text!r}")
+
+
+@dataclass(frozen=True)
+class OffloadPolicy:
+    """Knobs of the resilient offload path (virtual seconds)."""
+
+    #: Invocation attempts per batch before the board is quarantined.
+    max_attempts: int = 3
+    #: Host deadline per batch; a hung invocation is cut here.
+    batch_deadline_seconds: float = 0.05
+    #: Backoff before retry ``i`` is ``base * factor**(i-1)``.
+    backoff_base_seconds: float = 1e-4
+    backoff_factor: float = 2.0
+    #: Quarantine ``q`` lasts ``base * factor**q`` before a probe.
+    quarantine_base_seconds: float = 1e-2
+    quarantine_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise BlazeError(
+                f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.batch_deadline_seconds <= 0:
+            raise BlazeError("batch_deadline_seconds must be positive, "
+                             f"got {self.batch_deadline_seconds}")
+
+
 @dataclass(frozen=True)
 class ExploreConfig:
     """Knobs of ``session.explore`` (compile + design space exploration).
@@ -41,38 +95,44 @@ class ExploreConfig:
     the same kernel skip re-estimation.
     """
 
-    #: Tuner RNG seed (the whole exploration is deterministic in it).
-    seed: int = 0
-    #: Global virtual time limit, in synthesis minutes.
-    time_limit_minutes: float = 240.0
+    seed: int = field(default=0, metadata=flag(
+        "--seed", "tuner RNG seed (the whole exploration is "
+        "deterministic in it)"))
+    time_limit_minutes: float = field(default=240.0, metadata=flag(
+        "--time-limit", "global virtual time limit, in synthesis minutes"))
     #: Virtual DSE workers (the paper's eight-core machine).
     workers: int = 8
-    #: Real process-pool width for HLS estimation.
-    jobs: int = 1
-    #: Persistent evaluation cache directory (``None`` disables).
-    cache_dir: Optional[str] = None
+    jobs: int = field(default=1, metadata=flag(
+        "--jobs", "real process-pool width for HLS estimation (results "
+        "are identical at any value)"))
+    cache_dir: Optional[str] = field(default=None, metadata=flag(
+        "--cache-dir", "persistent evaluation cache directory; repeated "
+        "runs skip re-estimation (unset: no cache)", metavar="DIR"))
     #: Decision-tree partition budget (Section 4.3.1).
     max_partitions: int = 8
-    #: Exploration checkpoint directory (``None`` disables crash-safe
-    #: checkpointing).  Also enables the evaluation cache there unless
-    #: ``cache_dir`` names one explicitly — a resume needs the cache to
-    #: replay the killed batch without duplicate backend evaluations.
-    checkpoint_dir: Optional[str] = None
-    #: Resume from the checkpoint in ``checkpoint_dir`` if one exists
-    #: (otherwise start fresh — idempotent restart semantics for
-    #: schedulers).
-    resume: bool = False
-    #: Path to a trained surrogate artifact (``s2fa dataset train``).
-    #: When set, the engine scores each proposed batch with the
-    #: surrogate and skips the analytically-worst fraction; the reported
-    #: optimum is still always analytically verified.
-    surrogate: Optional[str] = None
-    #: Fraction of each unseen batch the surrogate may prune ([0, 1)).
-    prune_fraction: float = 0.5
-    #: Registered device name the exploration targets (the envelope the
-    #: estimator scores against).  Unknown names fail eagerly with
-    #: :class:`~repro.errors.UnknownDeviceError`.
-    device: str = "xcvu9p"
+    checkpoint_dir: Optional[str] = field(default=None, metadata=flag(
+        "--checkpoint-dir", "crash-safe exploration: journal the explorer "
+        "state here at every batch boundary (SIGINT/SIGTERM then exit 75 "
+        "with a resumable checkpoint); also hosts the evaluation cache "
+        "unless a cache directory is given, so a resume replays the "
+        "killed batch without duplicate evaluations (unset: no "
+        "checkpoints)", metavar="DIR"))
+    resume: bool = field(default=False, metadata=flag(
+        "--resume", "resume from the checkpoint in the checkpoint "
+        "directory if one exists (otherwise start fresh, so restarts "
+        "are idempotent)"))
+    surrogate: Optional[str] = field(default=None, metadata=flag(
+        "--surrogate", "learned cost-model artifact (from 's2fa dataset "
+        "train'); the engine prunes each proposal batch by its "
+        "predictions, but every reported design is still analytically "
+        "scored (unset: no pruning)", metavar="MODEL.json"))
+    prune_fraction: float = field(default=0.5, metadata=flag(
+        "--prune-fraction", "fraction of each unseen batch the surrogate "
+        "may prune, in [0, 1)"))
+    device: str = field(default="xcvu9p", metadata=flag(
+        "--device", "registered device model the exploration targets; an "
+        "unknown name fails with the list of registered ones",
+        metavar="NAME"))
 
     def __post_init__(self) -> None:
         self.resolve_device()           # fail on a bad name eagerly
@@ -118,22 +178,26 @@ class DatasetConfig:
     are kept and the sweep continues after them.
     """
 
-    #: Output JSONL path.
-    out: str = "dataset.jsonl"
-    #: Sweep RNG seed (kernel generation and config sampling).
-    seed: int = 0
-    #: Number of fuzz-generated kernels (on top of the app suite).
-    kernels: int = 4
-    #: Sampled design configurations per kernel.
-    configs: int = 64
-    #: Include the built-in application suite kernels.
-    apps: bool = True
-    #: Real process-pool width for HLS estimation.
-    jobs: int = 1
-    #: Persistent evaluation cache directory (``None`` disables).
-    cache_dir: Optional[str] = None
-    #: Keep existing records in ``out`` and continue after them.
-    resume: bool = False
+    out: str = field(default="dataset.jsonl", metadata=flag(
+        "--out", "output JSONL path", metavar="FILE"))
+    seed: int = field(default=0, metadata=flag(
+        "--seed", "sweep seed: kernels and sampled configs are a pure "
+        "function of it"))
+    kernels: int = field(default=4, metadata=flag(
+        "--kernels", "fuzz-generated kernels on top of the app suite"))
+    configs: int = field(default=64, metadata=flag(
+        "--configs", "sampled design configurations per kernel"))
+    apps: bool = field(default=True, metadata=flag(
+        "--no-apps", "include the built-in application suite kernels "
+        "(--no-apps leaves them out)"))
+    jobs: int = field(default=1, metadata=flag(
+        "--jobs", "real process-pool width for HLS estimation"))
+    cache_dir: Optional[str] = field(default=None, metadata=flag(
+        "--cache-dir", "persistent evaluation cache directory (unset: "
+        "no cache)", metavar="DIR"))
+    resume: bool = field(default=False, metadata=flag(
+        "--resume", "keep the records already in the output file and "
+        "continue after them"))
 
     def __post_init__(self) -> None:
         if not self.out:
@@ -160,32 +224,26 @@ class RuntimeConfig:
     """Knobs of ``session.run`` (Spark + Blaze deployment).
 
     ``fault_plan`` is the textual schedule spec of
-    :meth:`repro.fpga.faults.FaultPlan.parse` (e.g.
-    ``"transient=0.2,hang=0.05,lose_after=40"``); the offload knobs
-    mirror :class:`repro.blaze.runtime.OffloadPolicy` field for field.
+    :meth:`repro.fpga.faults.FaultPlan.parse`; ``policy`` holds the
+    offload deadlines, retries, backoff and quarantine.
     """
 
-    #: Spark partitions (each partition is one accelerator batch).
-    partitions: int = 4
-    #: Device fault schedule spec (``None`` = fault-free hardware).
-    fault_plan: Optional[str] = None
-    #: Seed of the fault schedule.
-    fault_seed: int = 0
-    #: Invocation attempts per batch before the board is quarantined.
-    max_attempts: int = 3
-    #: Host deadline per batch, virtual seconds.
-    batch_deadline_seconds: float = 0.05
-    #: Backoff before retry ``i`` is ``base * factor**(i-1)``.
-    backoff_base_seconds: float = 1e-4
-    backoff_factor: float = 2.0
-    #: Quarantine ``q`` lasts ``base * factor**q`` before a probe.
-    quarantine_base_seconds: float = 1e-2
-    quarantine_factor: float = 2.0
-    #: Functional execution engine: ``"tac"`` (flattened register-IR
-    #: engines) or ``"stack"`` (the original stack/tree walkers, kept
-    #: as differential oracles).  ``None`` defers to ``$S2FA_ENGINE``,
-    #: then the default (see :mod:`repro.engines`).
-    engine: Optional[str] = None
+    partitions: int = field(default=4, metadata=flag(
+        "--partitions", "Spark partitions (each partition is one "
+        "accelerator batch)"))
+    fault_plan: Optional[str] = field(default=None, metadata=flag(
+        "--fault-plan", "device fault schedule, e.g. "
+        "'transient=0.2,hang=0.05,corrupt=0.1,lose_after=40' (unset: "
+        "fault-free hardware)", metavar="SPEC"))
+    fault_seed: int = field(default=0, metadata=flag(
+        "--fault-seed", "seed of the fault schedule"))
+    #: Offload deadlines, retries, backoff and quarantine.
+    policy: OffloadPolicy = field(default_factory=OffloadPolicy)
+    engine: Optional[str] = field(default=None, metadata=flag(
+        "--engine", "functional execution engine: 'tac' = flattened "
+        "register-IR engines, 'stack' = the original stack/tree "
+        "interpreters, kept as differential oracles (unset: "
+        "$S2FA_ENGINE, then 'tac')", choices=("tac", "stack")))
 
     def __post_init__(self) -> None:
         from .engines import resolve_engine
@@ -194,30 +252,12 @@ class RuntimeConfig:
         if self.partitions < 1:
             raise BlazeError(
                 f"partitions must be >= 1, got {self.partitions}")
-        if self.max_attempts < 1:
-            raise BlazeError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.batch_deadline_seconds <= 0:
-            raise BlazeError("batch_deadline_seconds must be positive, "
-                             f"got {self.batch_deadline_seconds}")
         # Parse eagerly so a bad spec fails at construction time.
         self.plan()
 
     def replace(self, **changes) -> "RuntimeConfig":
         """A copy with the given fields changed (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    def policy(self):
-        """The :class:`~repro.blaze.runtime.OffloadPolicy` equivalent."""
-        from .blaze.runtime import OffloadPolicy
-
-        return OffloadPolicy(
-            max_attempts=self.max_attempts,
-            batch_deadline_seconds=self.batch_deadline_seconds,
-            backoff_base_seconds=self.backoff_base_seconds,
-            backoff_factor=self.backoff_factor,
-            quarantine_base_seconds=self.quarantine_base_seconds,
-            quarantine_factor=self.quarantine_factor)
 
     def plan(self):
         """The parsed :class:`~repro.fpga.faults.FaultPlan` (or None)."""
@@ -241,31 +281,36 @@ class StreamConfig:
     along in ``runtime``, like :class:`ServeConfig`.
     """
 
-    #: Source records admitted per micro-batch.
-    batch_records: int = 32
-    #: Micro-batch interval, virtual seconds.
-    interval_seconds: float = 0.05
-    #: Bounded source size (``None`` = unbounded; ``max_batches`` must
-    #: then bound the run).
-    total_records: Optional[int] = 256
-    #: Hard cap on micro-batches this run (``None`` = until the source
-    #: is exhausted).
-    max_batches: Optional[int] = None
-    #: Seed of the deterministic record source.
-    data_seed: int = 21
+    batch_records: int = field(default=32, metadata=flag(
+        "--batch-records", "source records admitted per micro-batch"))
+    interval_seconds: float = field(default=0.05, metadata=flag(
+        "--interval", "micro-batch interval, virtual seconds",
+        metavar="SECONDS"))
+    #: Unbounded (``None``) only with ``max_batches`` bounding the run.
+    total_records: Optional[int] = field(default=256, metadata=flag(
+        "--records", "bounded source size"))
+    max_batches: Optional[int] = field(default=None, metadata=flag(
+        "--batches", "hard cap on micro-batches this run (unset: until "
+        "the source is exhausted)", type=int))
+    data_seed: int = field(default=21, metadata=flag(
+        "--data-seed", "seed of the deterministic record source"))
     #: Admission depth while keeping up (shrinks to 1 under LAGGING).
     prefetch_batches: int = 2
-    #: LAGGING threshold: completion slip past the next batch's due
-    #: time, in batch intervals.
-    max_lag_intervals: float = 2.0
-    #: Sink JSONL path (``None`` = in-memory sink).
-    sink: Optional[str] = None
-    #: Streaming checkpoint directory (``None`` disables crash-safe
-    #: exactly-once recovery; the sink stays idempotent regardless).
-    checkpoint_dir: Optional[str] = None
-    #: Resume from the checkpoint in ``checkpoint_dir`` if one exists
-    #: (otherwise start fresh — idempotent restart semantics).
-    resume: bool = False
+    max_lag_intervals: float = field(default=2.0, metadata=flag(
+        "--max-lag", "LAGGING threshold: completion slip past the next "
+        "batch's due time, in batch intervals", metavar="INTERVALS"))
+    sink: Optional[str] = field(default=None, metadata=flag(
+        "--sink", "append sink rows to this JSONL file (unset: "
+        "in-memory sink)", metavar="FILE"))
+    checkpoint_dir: Optional[str] = field(default=None, metadata=flag(
+        "--checkpoint-dir", "crash-safe exactly-once streaming: "
+        "checkpoint source offsets + operator state here after every "
+        "micro-batch (SIGINT/SIGTERM then exit 75 resumable); the sink "
+        "stays idempotent regardless (unset: no checkpoints)",
+        metavar="DIR"))
+    resume: bool = field(default=False, metadata=flag(
+        "--resume", "resume from the checkpoint in the checkpoint "
+        "directory if one exists (otherwise start fresh)"))
     #: Offload-path configuration (fault schedule, policy, engine).
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
@@ -315,30 +360,41 @@ class ServeConfig:
     the board fleet width, circuit breaking, and drain behaviour.
     """
 
-    #: Bounded per-tenant queue depth; a full queue sheds (OVERLOADED).
-    queue_depth: int = 64
-    #: Per-tenant weighted-round-robin weights; unlisted tenants get
-    #: ``default_weight``.  (Do not mutate the mapping after
-    #: construction — the config is conceptually frozen.)
-    tenant_weights: Mapping[str, int] = field(default_factory=dict)
+    queue_depth: int = field(default=64, metadata=flag(
+        "--queue-depth", "bounded per-tenant queue depth; a full queue "
+        "sheds OVERLOADED"))
+    #: Given as a mapping or as ``(tenant, weight)`` pairs; the config
+    #: keeps its own dict copy.
+    tenant_weights: Mapping[str, int] = field(
+        default_factory=dict, metadata=flag(
+            "--tenant-weight", "weighted-round-robin weight of a tenant "
+            "(repeatable); unlisted tenants get the default weight",
+            action="append", type=int_pair, metavar="TENANT=W"))
+    #: Weight of tenants that ``tenant_weights`` does not list.
     default_weight: int = 1
-    #: Virtual FPGA boards deployed per kernel (the fleet width).
-    replicas: int = 2
-    #: Registered device name the serve core compiles and explores
-    #: against (and the board model of a homogeneous fleet).
-    device: str = "xcvu9p"
-    #: Heterogeneous fleet: registered device names assigned to the
-    #: replicas of every kernel round-robin (replica ``i`` runs on
-    #: ``fleet_devices[i % len]``).  Empty = homogeneous on ``device``.
-    #: Placement is device-aware (fastest board first) but results stay
-    #: bit-identical to a homogeneous fleet under any fault schedule.
-    fleet_devices: tuple = ()
-    #: Default per-request deadline, virtual seconds (None: unbounded).
-    default_deadline_s: Optional[float] = None
-    #: Circuit breaker: consecutive hardware failures before a kernel's
-    #: circuit opens, and the virtual-seconds cooldown before a probe.
-    breaker_threshold: int = 3
-    breaker_reset_s: float = 0.5
+    replicas: int = field(default=2, metadata=flag(
+        "--replicas", "virtual FPGA boards deployed per kernel (the "
+        "fleet width)"))
+    device: str = field(default="xcvu9p", metadata=flag(
+        "--device", "registered device model the serve core compiles and "
+        "explores against, and the board model of a homogeneous fleet; "
+        "an unknown name fails with the list of registered ones",
+        metavar="NAME"))
+    fleet_devices: tuple = field(default=(), metadata=flag(
+        "--fleet-devices", "heterogeneous fleet: comma-separated "
+        "registered device names assigned to the replicas of every "
+        "kernel round-robin; placement is device-aware, results stay "
+        "bit-identical to a homogeneous fleet (unset: homogeneous)",
+        type=name_list, metavar="A,B,C"))
+    default_deadline_s: Optional[float] = field(default=None, metadata=flag(
+        "--default-deadline", "default per-request deadline, virtual "
+        "seconds (unset: unbounded)", type=float, metavar="SECONDS"))
+    breaker_threshold: int = field(default=3, metadata=flag(
+        "--breaker-threshold", "consecutive hardware failures before a "
+        "kernel's circuit opens"))
+    breaker_reset_s: float = field(default=0.5, metadata=flag(
+        "--breaker-reset", "circuit cooldown, virtual seconds, before a "
+        "half-open probe"))
     #: Virtual time budget for ``explore=True`` requests (DSE minutes).
     explore_time_limit_minutes: float = 20.0
     #: Grace period (real seconds) for the in-flight request to finish
@@ -350,6 +406,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         from .hls.device import get_device
 
+        object.__setattr__(self, "tenant_weights",
+                           dict(self.tenant_weights))
         get_device(self.device)         # fail on a bad name eagerly
         for name in self.fleet_devices:
             get_device(name)

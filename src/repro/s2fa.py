@@ -489,7 +489,7 @@ class S2FASession:
 
         return BlazeRuntime(sc, device=device or self.device,
                             fault_plan=plan,
-                            policy=self.runtime_config.policy(),
+                            policy=self.runtime_config.policy,
                             tracer=self.tracer,
                             engine=self.runtime_config.engine)
 
@@ -542,7 +542,7 @@ class S2FASession:
             sc = SparkContext(default_parallelism=rcfg.partitions)
             runtime = BlazeRuntime(sc, device=self.device,
                                    fault_plan=rcfg.plan(),
-                                   policy=rcfg.policy(),
+                                   policy=rcfg.policy,
                                    tracer=self.tracer,
                                    engine=rcfg.engine)
             runtime.register(compiled, spec.design_for(compiled))

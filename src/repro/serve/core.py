@@ -104,7 +104,7 @@ class ServeCore:
             SparkContext(default_parallelism=1),
             device=self.device,
             fault_plan=runtime_cfg.plan(),
-            policy=runtime_cfg.policy(),
+            policy=runtime_cfg.policy,
             tracer=self.tracer,
             engine=runtime_cfg.engine)
         self.scheduler = FairScheduler(

@@ -11,6 +11,7 @@ import pytest
 from repro.blaze import BlazeRuntime, OffloadPolicy
 from repro.blaze.manager import ACTIVE, LOST, QUARANTINED
 from repro.compiler import compile_kernel
+from repro.errors import BlazeError
 from repro.fpga.faults import FaultPlan
 from repro.merlin import DesignConfig, LoopConfig
 from repro.spark import SparkContext
@@ -114,6 +115,19 @@ class TestRetries:
         # Two retries: backoff 1s + 2s; three overhead charges are noise.
         assert runtime.metrics.wasted_seconds == pytest.approx(
             3.0, rel=1e-3)
+
+
+class TestPolicyValidation:
+    def test_zero_attempts_rejected_at_construction(self):
+        # A zero-attempt policy would quarantine every healthy board on
+        # its first batch; it must fail before any runtime is built.
+        with pytest.raises(BlazeError, match="max_attempts"):
+            BlazeRuntime(SparkContext(),
+                         policy=OffloadPolicy(max_attempts=0))
+
+    def test_non_positive_deadline_rejected(self):
+        with pytest.raises(BlazeError, match="batch_deadline_seconds"):
+            OffloadPolicy(batch_deadline_seconds=0)
 
 
 class TestQuarantine:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import RuntimeConfig, ServeConfig
+from repro.config import OffloadPolicy, RuntimeConfig, ServeConfig
 from repro.s2fa import S2FASession
 from repro.serve import ServeCore, ServeRequest
 from repro.serve.request import (
@@ -207,7 +207,7 @@ class TestDegradation:
             runtime=RuntimeConfig(
                 fault_plan="transient=1.0", fault_seed=0,
                 # Quarantined boards stay out for the whole test.
-                quarantine_base_seconds=1e9)))
+                policy=OffloadPolicy(quarantine_base_seconds=1e9))))
         responses = [_serve_one(core, _offload(f"o{i}", n_tasks=2))
                      for i in range(6)]
         assert all(r.ok and r.degraded for r in responses)

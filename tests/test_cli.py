@@ -35,6 +35,15 @@ def kernel_file(tmp_path):
     return str(path)
 
 
+def assert_usage_error(argv, capsys, message):
+    """``argv`` is a bad command line: exit 2 with ``message`` on
+    stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 class TestCompileCommand:
     def test_emits_c(self, kernel_file, capsys):
         assert main(["compile", kernel_file]) == 0
@@ -48,9 +57,9 @@ class TestCompileCommand:
         assert main(["compile", str(path), "--pattern", "filter"]) == 0
         assert "(in_1 & 1) == 0" in capsys.readouterr().out
 
-    def test_missing_file(self):
-        with pytest.raises(SystemExit):
-            main(["compile", "/nonexistent.scala"])
+    def test_missing_file(self, capsys):
+        assert_usage_error(["compile", "/nonexistent.scala"], capsys,
+                           "no such kernel file")
 
     def test_length_options(self, tmp_path, capsys):
         path = tmp_path / "k.scala"
@@ -63,9 +72,13 @@ class K extends Accelerator[Array[Float], Float] {
         assert main(["compile", str(path), "--length", "in=4"]) == 0
         assert "i * 4" in capsys.readouterr().out
 
-    def test_bad_length_syntax(self, kernel_file):
-        with pytest.raises(SystemExit, match="path=N"):
-            main(["compile", kernel_file, "--length", "oops"])
+    def test_bad_length_syntax(self, kernel_file, capsys):
+        assert_usage_error(["compile", kernel_file, "--length", "oops"],
+                           capsys, "expected KEY=N")
+
+    def test_non_integer_length(self, kernel_file, capsys):
+        assert_usage_error(["compile", kernel_file, "--length", "in=x"],
+                           capsys, "expected KEY=N")
 
     def test_compile_error_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.scala"
@@ -108,9 +121,8 @@ class TestInfoCommands:
         assert "expert manual design" in out
         assert "memory bound" in out
 
-    def test_report_unknown_app(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["report", "Nope"])
+    def test_report_unknown_app(self, capsys):
+        assert_usage_error(["report", "Nope"], capsys, "unknown app")
 
 
 class TestRunCommand:
@@ -143,9 +155,12 @@ class TestRunCommand:
             == EXIT_ERROR
         assert "unknown fault plan key" in capsys.readouterr().err
 
-    def test_run_unknown_app(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["run", "Nope"])
+    def test_run_unknown_app(self, capsys):
+        assert_usage_error(["run", "Nope"], capsys, "unknown app")
+
+    def test_stream_unknown_app(self, capsys):
+        assert_usage_error(["stream", "Nope"], capsys,
+                           "unknown streaming app")
 
 
 class TestDseCommand:
@@ -182,9 +197,8 @@ class TestDseCommand:
         out = capsys.readouterr().out
         assert "accelerated tasks" in out
 
-    def test_dse_unknown_app(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["dse", "Nope"])
+    def test_dse_unknown_app(self, capsys):
+        assert_usage_error(["dse", "Nope"], capsys, "unknown app")
 
 
 class TestDeviceFlags:
@@ -271,18 +285,19 @@ class TestTraceCommands:
         assert "Top 3 slowest spans" in out
         assert "Flamegraph" not in out
 
-    def test_summarize_missing_file(self):
-        with pytest.raises(SystemExit, match="no such trace file"):
-            main(["trace", "summarize", "/nonexistent.json"])
+    def test_summarize_missing_file(self, capsys):
+        assert_usage_error(["trace", "summarize", "/nonexistent.json"],
+                           capsys, "no such trace file")
 
-    def test_summarize_rejects_invalid_chrome_trace(self, tmp_path):
+    def test_summarize_rejects_invalid_chrome_trace(self, tmp_path,
+                                                    capsys):
         import json
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
             {"traceEvents": [{"ph": "X", "name": "a"}]}))
-        with pytest.raises(SystemExit, match="invalid Chrome trace"):
-            main(["trace", "summarize", str(bad)])
+        assert_usage_error(["trace", "summarize", str(bad)], capsys,
+                           "invalid Chrome trace")
 
     def test_run_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "run.json"
@@ -359,9 +374,9 @@ class TestFuzz:
         assert "entries replayed" in out
         assert "FAIL" not in out
 
-    def test_replay_only_requires_corpus(self):
-        with pytest.raises(SystemExit):
-            main(["fuzz", "--replay-only"])
+    def test_replay_only_requires_corpus(self, capsys):
+        assert_usage_error(["fuzz", "--replay-only"], capsys,
+                           "--replay-only requires --corpus")
 
     def test_failing_campaign_exits_one_and_writes_artifacts(
             self, tmp_path, capsys, monkeypatch):
@@ -386,3 +401,12 @@ class TestFuzz:
         assert "differential compare" in out
         assert "minimized to" in out
         assert any(corpus.glob("crash_*/regression.json"))
+
+
+class TestServeCommandLine:
+    def test_serve_needs_a_socket(self, capsys):
+        assert_usage_error(["serve"], capsys, "serve needs --socket")
+
+    def test_bad_tenant_weight(self, capsys):
+        assert_usage_error(["serve", "--simulate", "--tenant-weight",
+                            "a=x"], capsys, "expected KEY=N")

@@ -163,7 +163,4 @@ def test_stream_config_fields():
 def test_runtime_config_fields():
     fields = set(repro.RuntimeConfig.__dataclass_fields__)
     assert fields == {"partitions", "fault_plan", "fault_seed",
-                      "max_attempts", "batch_deadline_seconds",
-                      "backoff_base_seconds", "backoff_factor",
-                      "quarantine_base_seconds", "quarantine_factor",
-                      "engine"}
+                      "policy", "engine"}

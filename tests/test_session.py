@@ -134,13 +134,6 @@ class TestConfigs:
         with pytest.raises(DSEError):
             cfg.replace(jobs=-1)
 
-    def test_runtime_policy_mirror(self):
-        cfg = RuntimeConfig(max_attempts=5,
-                            batch_deadline_seconds=0.25)
-        policy = cfg.policy()
-        assert policy.max_attempts == 5
-        assert policy.batch_deadline_seconds == 0.25
-
 
 class TestTracing:
     def test_traced_pipeline_exports_valid_chrome_trace(self, tmp_path):
